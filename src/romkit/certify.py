@@ -18,16 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 from .pod import ReducedBasis
 from .problem import AffineProblem, eval_thetas
 from .reduced import (ReducedModel, eval_model_thetas, lift, problem_fingerprint,
                       rb_solve)
 from .truth import assemble_at, mu_norm, solve_fom, stability_constants, v_norm
 
-X_SOLVE_TOL = 1e-12
 CANCELLATION_REL = 1e-12
 
 
@@ -124,40 +122,16 @@ class EffectivityReport:
     ceilings_ok: bool
 
 
-class _XSolver:
-    """Cached factorization of X with a residual guard per solve."""
-
-    def __init__(self, X):
-        self.X = X.tocsr()
-        self._solve = scipy.sparse.linalg.factorized(X.tocsc())
-
-    def __call__(self, b):
-        x = self._solve(b)
-        b_norm = np.linalg.norm(b)
-        if b_norm == 0:
-            return np.zeros_like(b)
-        res = np.linalg.norm(b - self.X @ x) / b_norm
-        if res > X_SOLVE_TOL:
-            x = x + self._solve(b - self.X @ x)
-            res = np.linalg.norm(b - self.X @ x) / b_norm
-            if res > X_SOLVE_TOL:
-                raise NumericalError(
-                    f"X-solve stalled at relative residual {res:.3e}"
-                )
-        return x
-
-
 def riesz_offline(problem: AffineProblem, basis: ReducedBasis) -> ResidualData:
     """Riesz representers of all residual blocks and their Gram blocks."""
-    solver = _XSolver(problem.X)
     X = problem.X
     Q_f, Q_a, N = problem.Q_f, problem.Q_a, basis.N
 
-    rep_f = np.array([solver(f) for f in problem.f_q])
+    rep_f = np.array([problem.solve_x(f) for f in problem.f_q])
     rep_a = np.empty((Q_a, N, problem.n_free))
     for q, A in enumerate(problem.A_q):
         for n in range(N):
-            rep_a[q, n] = solver(A @ basis.vectors[n])
+            rep_a[q, n] = problem.solve_x(A @ basis.vectors[n])
 
     G_ff = np.empty((Q_f, Q_f))
     for i in range(Q_f):
@@ -201,12 +175,12 @@ def riesz_extend(data: ResidualData | None, problem: AffineProblem,
         raise ConfigurationError(
             "fingerprint mismatch between residual data and basis"
         )
-    solver = _XSolver(problem.X)
     X = problem.X
     Q_f, Q_a = data.Q_f, data.Q_a
     new_vector = np.asarray(new_vector, dtype=float)
 
-    new_reps = np.array([solver(A @ new_vector) for A in problem.A_q])
+    new_reps = np.array([problem.solve_x(A @ new_vector)
+                         for A in problem.A_q])
     rep_a = np.concatenate([data.rep_a, new_reps[:, None, :]], axis=1)
 
     G_fa = np.empty((Q_f, Q_a, N_old + 1))

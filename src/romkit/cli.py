@@ -97,10 +97,9 @@ def cmd_offline(args):
                                      seed=args.seed)
         _progress(f"offline: greedy over {len(training)} training points, "
                   f"tol={args.tol}, n_max={args.n_max}")
-        t1 = time.perf_counter()
         basis, history, model, data = greedy_build(
             problem, training, tol=args.tol, n_max=args.n_max)
-        truth_seconds = time.perf_counter() - t1
+        truth_seconds = history.truth_seconds
         model.provenance = {
             "method": "greedy",
             "problem": dict(problem.descriptor),
@@ -203,7 +202,7 @@ def validation_header(p):
 def _fmt(value):
     if value is None:
         return "indeterminate"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, float) and math.isnan(value):
         return "indeterminate"
@@ -425,7 +424,7 @@ def cmd_fom(args):
         "solve_residual": solution.solve_residual,
         "n_free": problem.n_free,
         "out": str(args.out),
-        "fnv1a64": checksum,
+        "blake2b": checksum,
     }))
     return 0
 

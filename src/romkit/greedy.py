@@ -10,6 +10,7 @@ and the stopping test.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ class GreedyHistory:
     max_estimator_per_iteration: list = field(default_factory=list)
     stopping_reason: str = ""
     training_set_size: int = 0
+    truth_seconds: float = 0.0  # wall time spent in truth solves
 
 
 class DependenceDiagnostic:
@@ -115,7 +117,9 @@ def greedy_build(problem: AffineProblem, training_set, tol: float,
     data = None
 
     for _ in range(n_max):
+        t0 = time.perf_counter()
         solution = solve_fom(problem, mu_next)
+        history.truth_seconds += time.perf_counter() - t0
         result = orthonormalize(solution.u, basis.vectors, problem.X)
         if isinstance(result, DependenceDiagnostic):
             history.stopping_reason = "stagnation"

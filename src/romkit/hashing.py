@@ -1,17 +1,8 @@
-"""FNV-1a 64-bit checksums (integrity, not security)."""
+"""BLAKE2b-128 content digests (integrity, not security)."""
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK = 0xFFFFFFFFFFFFFFFF
+import hashlib
 
 
-def fnv1a64(data: bytes, seed: int = _FNV_OFFSET) -> int:
-    h = seed
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK
-    return h
-
-
-def fnv1a64_hex(data: bytes) -> str:
-    return f"{fnv1a64(data):016x}"
+def digest_hex(data) -> str:
+    """Hex BLAKE2b digest of 16 bytes; ``data`` is any bytes-like object."""
+    return hashlib.blake2b(data, digest_size=16).hexdigest()

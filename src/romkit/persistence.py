@@ -3,8 +3,9 @@
 Payload format ("RBM1"): magic bytes ``52 42 4D 31``, unsigned 64-bit
 little-endian row count, unsigned 64-bit little-endian column count, then
 rows*cols IEEE-754 binary64 little-endian values in row-major order. The
-manifest records shapes and FNV-1a 64 checksums per payload; integrity,
-not security.
+manifest (format 2) records shapes and BLAKE2b-128 checksums per payload,
+verified on every load; integrity, not security. Format-1 archives are
+refused: rebuild them with ``romkit offline``.
 
 The online phase loads only reduced-size payloads; the basis payload is
 never opened unless explicitly requested, which makes the claim that the
@@ -22,14 +23,14 @@ import numpy as np
 
 from .certify import ResidualData
 from .errors import ArchiveError
-from .hashing import fnv1a64_hex
+from .hashing import digest_hex
 from .pod import ReducedBasis
 from .problem import ParameterDomain
 from .reduced import ReducedModel
 from .thetas import parse_theta
 
 MAGIC = b"RBM1"
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 MANIFEST_NAME = "manifest.json"
 
 
@@ -46,7 +47,7 @@ def write_payload(path, array) -> str:
             + cols.to_bytes(8, "little")
             + np.ascontiguousarray(array).tobytes())
     Path(path).write_bytes(blob)
-    return fnv1a64_hex(blob)
+    return digest_hex(blob)
 
 
 def read_payload(path, expected_checksum=None) -> np.ndarray:
@@ -54,7 +55,7 @@ def read_payload(path, expected_checksum=None) -> np.ndarray:
     if not path.exists():
         raise ArchiveError(f"missing payload {path}")
     blob = path.read_bytes()
-    if expected_checksum is not None and fnv1a64_hex(blob) != expected_checksum:
+    if expected_checksum is not None and digest_hex(blob) != expected_checksum:
         raise ArchiveError(f"checksum mismatch in payload {path.name}")
     if len(blob) < 20 or blob[:4] != MAGIC:
         raise ArchiveError(f"payload {path.name} is not in RBM1 format")
@@ -107,7 +108,7 @@ def save_model(directory, model: ReducedModel, data: ResidualData,
             array = array.reshape(-1, 1)
         checksum = write_payload(directory / f"{name}.rbm", array)
         payloads[name] = {"file": f"{name}.rbm", "rows": array.shape[0],
-                          "cols": array.shape[1], "fnv1a64": checksum}
+                          "cols": array.shape[1], "blake2b": checksum}
 
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -145,7 +146,8 @@ def load_model(directory, online_only: bool = False) -> LoadedModel:
     if version != FORMAT_VERSION:
         raise ArchiveError(
             f"unsupported archive format version {version!r}, "
-            f"expected {FORMAT_VERSION!r}"
+            f"expected {FORMAT_VERSION!r}; rebuild the archive with "
+            f"'romkit offline'"
         )
 
     accessed = []
@@ -153,7 +155,7 @@ def load_model(directory, online_only: bool = False) -> LoadedModel:
     def fetch(name):
         meta = manifest["payloads"][name]
         accessed.append(name)
-        array = read_payload(directory / meta["file"], meta["fnv1a64"])
+        array = read_payload(directory / meta["file"], meta["blake2b"])
         if array.shape != (meta["rows"], meta["cols"]):
             raise ArchiveError(
                 f"payload {meta['file']} has shape {array.shape}, manifest "

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, NumericalError
-from .hashing import fnv1a64_hex
+from .hashing import digest_hex
 from .problem import AffineProblem
 from .truth import solve_fom
 
@@ -64,8 +64,7 @@ class ReducedBasis:
 
     def vector_fingerprints(self):
         """Per-vector content hashes; prefix-comparable across extensions."""
-        return [fnv1a64_hex(np.ascontiguousarray(v).tobytes())
-                for v in self.vectors]
+        return [digest_hex(np.ascontiguousarray(v)) for v in self.vectors]
 
 
 def collect_snapshots(problem: AffineProblem, parameters) -> SnapshotSet:

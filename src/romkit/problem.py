@@ -12,18 +12,21 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import scipy.io
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from .assembly import (assemble_inner_product, assemble_thermal_block_operators,
                        build_dofmap, build_mesh)
-from .errors import ConfigurationError, ThetaEvalError
+from .errors import ConfigurationError, NumericalError, ThetaEvalError
 from .thetas import ThetaExpression, parse_theta
 
 COERCIVITY_SAMPLE_COUNT = 1000
+X_SOLVE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,27 @@ class AffineProblem:
     @property
     def n_free(self):
         return self.X.shape[0]
+
+    @cached_property
+    def _x_factor(self):
+        return scipy.sparse.linalg.factorized(self.X.tocsc())
+
+    def solve_x(self, b):
+        """Solve X x = b; X is factorized once per problem, on first use,
+        and each solution is checked by its relative residual."""
+        x = self._x_factor(b)
+        b_norm = np.linalg.norm(b)
+        if b_norm == 0:
+            return np.zeros_like(b)
+        res = np.linalg.norm(b - self.X @ x) / b_norm
+        if res > X_SOLVE_TOL:
+            x = x + self._x_factor(b - self.X @ x)
+            res = np.linalg.norm(b - self.X @ x) / b_norm
+            if res > X_SOLVE_TOL:
+                raise NumericalError(
+                    f"X-solve stalled at relative residual {res:.3e}"
+                )
+        return x
 
     @property
     def theta_a_bar(self):

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, NumericalError
-from .hashing import fnv1a64_hex
+from .hashing import digest_hex
 from .pod import PodSpectrum, ReducedBasis
 from .problem import AffineProblem, ParameterDomain, eval_thetas
 from .thetas import ThetaExpression
@@ -27,7 +27,7 @@ def problem_fingerprint(problem: AffineProblem) -> str:
     desc = dict(problem.descriptor)
     desc["n_free"] = problem.n_free
     desc.pop("manifest_path", None)
-    return fnv1a64_hex(json.dumps(desc, sort_keys=True).encode())
+    return digest_hex(json.dumps(desc, sort_keys=True).encode())
 
 
 @dataclass

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import romkit
 from romkit.errors import ConfigurationError
@@ -98,6 +101,24 @@ def test_greedy_n_max_stop(b2_narrow):
     basis, history, _, _ = greedy_build(b2_narrow, training, tol=1e-14, n_max=3)
     assert history.stopping_reason == "n_max"
     assert basis.N == 3
+
+
+def test_greedy_factorizes_x_once(b2_narrow, monkeypatch):
+    problem = dataclasses.replace(b2_narrow)  # no cached factorization
+    X = problem.X.tocsc()
+    factorized = scipy.sparse.linalg.factorized
+    x_factorizations = []
+
+    def counting_factorized(A):
+        if A.shape == X.shape and (A != X).nnz == 0:
+            x_factorizations.append(A)
+        return factorized(A)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "factorized", counting_factorized)
+    training = romkit.sample_parameters(problem.domain, 16, "grid")
+    basis, _, _, _ = greedy_build(problem, training, tol=1e-14, n_max=3)
+    assert basis.N == 3
+    assert len(x_factorizations) == 1
 
 
 def test_greedy_exact_capture_stops_at_tolerance(b1_small):

@@ -5,6 +5,7 @@ import pytest
 
 from romkit.certify import certificate
 from romkit.errors import ArchiveError
+from romkit.hashing import digest_hex
 from romkit.persistence import (MAGIC, load_model, read_payload, save_model,
                                 write_payload)
 from romkit.reduced import rb_solve
@@ -104,6 +105,26 @@ def test_load_rejects_wrong_version(tmp_path, b2_pod_basis, b2_rom):
     (path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ArchiveError, match="format version"):
         load_model(path)
+
+
+def test_load_refuses_v1_archive(tmp_path, b2_pod_basis, b2_rom):
+    """A format-1 manifest (FNV-1a checksums) must be rebuilt, not read."""
+    model, data = b2_rom
+    path = save_model(tmp_path / "arch", model, data, b2_pod_basis)
+    manifest = json.loads((path / "manifest.json").read_text())
+    manifest["format_version"] = "1"
+    for meta in manifest["payloads"].values():
+        meta["fnv1a64"] = "0" * 16
+        del meta["blake2b"]
+    (path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ArchiveError, match="romkit offline"):
+        load_model(path, online_only=True)
+
+
+def test_digest_known_answers():
+    assert digest_hex(b"") == "cae66941d9efbd404e4d88758ea67670"
+    header = MAGIC + (2).to_bytes(8, "little") + (3).to_bytes(8, "little")
+    assert digest_hex(header) == "3340ffbccfecce208ddd6fb15723bfdb"
 
 
 def test_load_rejects_tampered_payload(tmp_path, b2_pod_basis, b2_rom):
